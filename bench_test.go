@@ -141,6 +141,27 @@ func BenchmarkExtractQFT480(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteJSON measures exporting the compiled QFT-480 schedule
+// as indented JSON.
+func BenchmarkWriteJSON(b *testing.B) {
+	arch := program480Arch(b)
+	circ, err := sq.Benchmark("qft", arch.TotalQubits())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sq.Compile(circ, arch, sq.DefaultParams(), sq.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sq.WriteScheduleJSON(io.Discard, res.Result); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScheduleQFT480 measures the scheduler alone on preprocessed
 // demands.
 func BenchmarkScheduleQFT480(b *testing.B) {

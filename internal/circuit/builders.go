@@ -3,6 +3,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // MCT builds the multi-control Toffoli benchmark over totalQubits
@@ -15,7 +16,7 @@ func MCT(totalQubits int) (*Circuit, error) {
 		return nil, fmt.Errorf("circuit: MCT needs an even qubit count >= 4, got %d", totalQubits)
 	}
 	nCtl := totalQubits / 2
-	c := New(fmt.Sprintf("MCT-%d", totalQubits), totalQubits)
+	c := newSized(fmt.Sprintf("MCT-%d", totalQubits), totalQubits, vChainGates(nCtl))
 	// Interleaved chain layout so consecutive chain steps touch adjacent
 	// qubit indices (and thus mostly stay inside one QPU under block
 	// placement): ctl0, ctl1, anc0, ctl2, anc1, ctl3, ... target last.
@@ -29,6 +30,16 @@ func MCT(totalQubits int) (*Circuit, error) {
 	target := totalQubits - 1
 	appendVChain(c, nCtl, ctl, anc, target)
 	return c, nil
+}
+
+// vChainGates is the number of gates appendVChain emits for nCtl
+// controls: one CX, one Toffoli, or 2*nCtl-3 Toffolis for a longer
+// chain (compute, the target Toffoli, uncompute).
+func vChainGates(nCtl int) int {
+	if nCtl == 1 {
+		return 1
+	}
+	return toffoliGates * (2*nCtl - 3)
 }
 
 // appendVChain emits a V-chain multi-control X: ctl(i) maps the control
@@ -77,7 +88,11 @@ func QFTApprox(n, maxDist int) (*Circuit, error) {
 	if maxDist < n {
 		name = fmt.Sprintf("AQFT-%d(d=%d)", n, maxDist)
 	}
-	c := New(name, n)
+	gates := 0
+	for i := 0; i < n; i++ {
+		gates += 1 + min(n-1-i, maxDist)
+	}
+	c := newSized(name, n, gates)
 	for i := 0; i < n; i++ {
 		c.Append(Single(H, i))
 		for j := i + 1; j < n && j-i <= maxDist; j++ {
@@ -105,7 +120,10 @@ func Grover(totalQubits, iterations int) (*Circuit, error) {
 	// and ancillas are interleaved along the V-chain for locality under
 	// block placement, as in MCT.
 	n := (totalQubits + 2) / 2
-	c := New(fmt.Sprintf("Grover-%d", totalQubits), totalQubits)
+	// Initial layer, then per iteration two MCZs (H, chain, H) and the
+	// 4n single-qubit gates of the diffusion operator.
+	gates := n + iterations*(2*(2+vChainGates(n-1))+4*n)
+	c := newSized(fmt.Sprintf("Grover-%d", totalQubits), totalQubits, gates)
 	search := func(i int) int {
 		if i <= 1 {
 			return i
@@ -155,7 +173,10 @@ func RCA(totalQubits, iterations int) (*Circuit, error) {
 		return nil, fmt.Errorf("circuit: RCA needs >= 1 iteration, got %d", iterations)
 	}
 	m := (totalQubits - 2) / 2
-	c := New(fmt.Sprintf("RCA-%d", totalQubits), totalQubits)
+	// Per iteration: m MAJ and m UMA blocks (two CXs and a Toffoli
+	// each) plus the carry-out CX.
+	gates := iterations * (2*m*(2+toffoliGates) + 1)
+	c := newSized(fmt.Sprintf("RCA-%d", totalQubits), totalQubits, gates)
 	// Layout: carry-in 0, interleaved b_i at 1+2i, a_i at 2+2i, carry-out last.
 	carryIn := 0
 	b := func(i int) int { return 1 + 2*i }
@@ -224,7 +245,7 @@ func GHZ(n int) (*Circuit, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("circuit: GHZ needs >= 2 qubits, got %d", n)
 	}
-	c := New(fmt.Sprintf("GHZ-%d", n), n)
+	c := newSized(fmt.Sprintf("GHZ-%d", n), n, n)
 	c.Append(Single(H, 0))
 	for i := 1; i < n; i++ {
 		c.Append(Two(CX, i-1, i))
@@ -244,7 +265,7 @@ func BV(n int, secret uint64) (*Circuit, error) {
 	if secret >= 1<<uint(n) {
 		return nil, fmt.Errorf("circuit: secret %d does not fit %d bits", secret, n)
 	}
-	c := New(fmt.Sprintf("BV-%d", n+1), n+1)
+	c := newSized(fmt.Sprintf("BV-%d", n+1), n+1, 2+2*n+bits.OnesCount64(secret))
 	phase := n
 	c.Append(Single(X, phase), Single(H, phase))
 	for i := 0; i < n; i++ {

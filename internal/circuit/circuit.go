@@ -88,6 +88,13 @@ func New(name string, n int) *Circuit {
 	return &Circuit{Name: name, NumQubits: n}
 }
 
+// newSized returns an empty circuit over n qubits whose gate slice has
+// capacity for exactly gates gates. The builders compute gates in
+// closed form, so building never regrows (and re-copies) the slice.
+func newSized(name string, n, gates int) *Circuit {
+	return &Circuit{Name: name, NumQubits: n, Gates: make([]Gate, 0, gates)}
+}
+
 // Append adds gates to the end of the circuit.
 func (c *Circuit) Append(gs ...Gate) { c.Gates = append(c.Gates, gs...) }
 
@@ -142,6 +149,9 @@ func (c *Circuit) Stats() Stats {
 	}
 	return s
 }
+
+// toffoliGates is the length of the Clifford+T Toffoli network.
+const toffoliGates = 15
 
 // AppendToffoli lowers a Toffoli (CCX) gate with controls a, b and
 // target t into the standard 15-gate Clifford+T network.

@@ -289,3 +289,41 @@ func TestBVStructure(t *testing.T) {
 		t.Error("BV(0) accepted")
 	}
 }
+
+// TestBuildersSizeExactly pins the builders' closed-form gate counts:
+// every benchmark allocates its gate slice once, at exactly the length
+// it fills, over a range of widths (and the raw builders at iteration
+// counts other than the benchmarks' 100).
+func TestBuildersSizeExactly(t *testing.T) {
+	check := func(c *Circuit, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Gates) != cap(c.Gates) {
+			t.Errorf("%s: len(Gates) = %d, cap = %d", c.Name, len(c.Gates), cap(c.Gates))
+		}
+	}
+	for _, name := range []string{"mct", "qft", "grover", "rca", "ghz", "bv"} {
+		for n := 6; n <= 480; n += 2 {
+			if n > 64 && n%24 != 0 {
+				continue
+			}
+			check(Benchmark(name, n))
+		}
+	}
+	for _, n := range []int{4, 6, 8} {
+		check(MCT(n))
+	}
+	for _, n := range []int{2, 3, 30, 31} {
+		for _, d := range []int{1, 2, 24, 100} {
+			check(QFTApprox(n, d))
+		}
+	}
+	for _, it := range []int{1, 3} {
+		check(Grover(10, it))
+		check(RCA(10, it))
+	}
+	check(BV(5, 0b10110))
+	check(BV(5, 0))
+}

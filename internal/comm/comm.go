@@ -75,43 +75,91 @@ func Extract(c *circuit.Circuit, p place.Placement, arch *topology.Arch, opts Op
 		circ: c, arch: arch, opts: opts,
 		cur:      append(place.Placement(nil), p...),
 		home:     p,
-		open:     make(map[int32]int), // control qubit -> open demand index
+		open:     make([]int32, len(p)),
+		mate:     make([]int32, len(p)),
 		migrants: make([]int, arch.NumQPUs()),
-		nextTwoQ: buildNextTwoQ(c),
+	}
+	for q := range e.open {
+		e.open[q], e.mate[q] = -1, -1
+	}
+	if !opts.DisableTP {
+		// Only TP decisions walk the window.
+		e.twoQ = buildTwoQIndex(c, len(p))
+	} else if opts.DisableCatAggregation {
+		// Without migration or aggregation every remote two-qubit gate
+		// is one demand, so the list is sized exactly.
+		if n := remoteGates(c, p); n > 0 {
+			e.demands = make([]epr.Demand, 0, n)
+		}
 	}
 	return e.run()
 }
 
-// buildNextTwoQ returns, for each gate index, the index of the next
-// two-qubit gate touching each of its operands (or -1), enabling O(1)
-// window walks during TP decisions.
-func buildNextTwoQ(c *circuit.Circuit) []int32 {
-	// next[i] = next two-qubit gate index after i that shares a qubit
-	// with gate i's first operand. We instead store per-qubit chains:
-	// chain[g] packs, for the gate at index g, the next two-qubit gate
-	// touching Q0 and Q1. Encoded as two int32 per gate.
-	chain := make([]int32, 2*len(c.Gates))
-	last := make(map[int32]int32) // qubit -> most recent gate index seen (walking backward)
-	for i := range chain {
-		chain[i] = -1
+// remoteGates counts the two-qubit gates of c whose operands p places
+// on different QPUs.
+func remoteGates(c *circuit.Circuit, p place.Placement) int {
+	n := 0
+	for _, g := range c.Gates {
+		if g.TwoQubit() && p[g.Q0] != p[g.Q1] {
+			n++
+		}
 	}
-	for i := len(c.Gates) - 1; i >= 0; i-- {
-		g := c.Gates[i]
-		if !g.TwoQubit() {
-			// Single-qubit gates still break Cat blocks but do not
-			// participate in window counting.
-			continue
+	return n
+}
+
+// twoQIndex lists, for each qubit, the indices of the two-qubit gates
+// touching it in circuit order, so a TP decision walks the window of
+// upcoming two-qubit gates on one qubit in O(window). The lists are
+// packed: qubit q's gates are gates[start[q]:start[q+1]].
+type twoQIndex struct {
+	start []int32
+	gates []int32
+	// next is, per qubit, the first entry of its list not before the
+	// extractor's current gate. The extractor visits gates in order, so
+	// the cursors only move forward.
+	next []int32
+}
+
+// buildTwoQIndex indexes the two-qubit gates of c over numQubits
+// qubits: 8 bytes per two-qubit gate, nothing for single-qubit gates.
+func buildTwoQIndex(c *circuit.Circuit, numQubits int) twoQIndex {
+	start := make([]int32, numQubits+1)
+	for _, g := range c.Gates {
+		if g.TwoQubit() {
+			start[g.Q0+1]++
+			if g.Q1 != g.Q0 {
+				start[g.Q1+1]++
+			}
 		}
-		if n, ok := last[g.Q0]; ok {
-			chain[2*i] = n
-		}
-		if n, ok := last[g.Q1]; ok {
-			chain[2*i+1] = n
-		}
-		last[g.Q0] = int32(i)
-		last[g.Q1] = int32(i)
 	}
-	return chain
+	for q := 0; q < numQubits; q++ {
+		start[q+1] += start[q]
+	}
+	gates := make([]int32, start[numQubits])
+	next := append([]int32(nil), start[:numQubits]...) // fill cursors
+	for i, g := range c.Gates {
+		if g.TwoQubit() {
+			gates[next[g.Q0]] = int32(i)
+			next[g.Q0]++
+			if g.Q1 != g.Q0 {
+				gates[next[g.Q1]] = int32(i)
+				next[g.Q1]++
+			}
+		}
+	}
+	copy(next, start[:numQubits]) // now the walk cursors
+	return twoQIndex{start: start, gates: gates, next: next}
+}
+
+// from returns qubit q's two-qubit gates from gate gi on, advancing q's
+// cursor to gi. gi must not precede an earlier call's gi for q.
+func (x *twoQIndex) from(q, gi int32) []int32 {
+	i, end := x.next[q], x.start[q+1]
+	for i < end && x.gates[i] < gi {
+		i++
+	}
+	x.next[q] = i
+	return x.gates[i:end]
 }
 
 type extractor struct {
@@ -123,48 +171,55 @@ type extractor struct {
 	home place.Placement // original placement
 
 	demands []epr.Demand
-	// open maps a candidate control qubit to the index (into demands) of
-	// its open Cat block. Symmetric gates (CZ/CP) open a block under
-	// both operands until the first absorption fixes the root; a block
-	// therefore has one or two keys, tracked in openKeys.
-	open     map[int32]int
-	openPair map[int][2]int  // demand index -> QPU pair at open time
-	openKeys map[int][]int32 // demand index -> candidate root qubits
-	migrants []int           // per-QPU count of hosted foreign qubits
+	// open maps each qubit to the index (into demands) of the open Cat
+	// block it is a candidate root of, or -1. The block's QPU pair is
+	// its demand's (A, B).
+	open []int32
+	// mate maps a candidate root to the other candidate root of its
+	// block, or -1. A CX block has one candidate; a symmetric (CZ/CP)
+	// block has two until an absorption fixes the root.
+	mate     []int32
+	migrants []int // per-QPU count of hosted foreign qubits
 
-	nextTwoQ []int32
+	twoQ twoQIndex
+}
+
+// emit appends demand d (its ID is set here) and returns its index.
+func (e *extractor) emit(d epr.Demand) int {
+	id := len(e.demands)
+	d.ID = id
+	e.demands = append(e.demands, d)
+	return id
 }
 
 func (e *extractor) run() ([]epr.Demand, error) {
-	e.openPair = make(map[int][2]int)
-	e.openKeys = make(map[int][]int32)
 	for i, g := range e.circ.Gates {
 		if !g.TwoQubit() {
 			// A local gate on a control qubit breaks its cat state.
-			e.closeBlocksTouching(g.Q0, -1)
+			e.closeBlocksTouching(g.Q0)
 			continue
 		}
 		a, b := e.cur[g.Q0], e.cur[g.Q1]
 		if a == b {
 			// Local two-qubit gate: still breaks cat blocks rooted at
 			// either operand.
-			e.closeBlocksTouching(g.Q0, -1)
-			e.closeBlocksTouching(g.Q1, -1)
+			e.closeBlocksTouching(g.Q0)
+			e.closeBlocksTouching(g.Q1)
 			continue
 		}
 		// Try to absorb into an open Cat block controlled by either
 		// operand over the same QPU pair.
 		if !e.opts.DisableCatAggregation {
-			if idx, ok := e.open[g.Q0]; ok && e.pairMatches(idx, a, b) {
-				e.fixRoot(idx, g.Q0)
-				e.closeBlocksTouching(g.Q1, idx)
+			if idx := e.open[g.Q0]; idx >= 0 && e.pairMatches(idx, a, b) {
+				e.fixRoot(g.Q0)
+				e.closeBlocksTouching(g.Q1)
 				e.demands[idx].Gates++
 				continue
 			}
 			if symmetric(g.Kind) {
-				if idx, ok := e.open[g.Q1]; ok && e.pairMatches(idx, a, b) {
-					e.fixRoot(idx, g.Q1)
-					e.closeBlocksTouching(g.Q0, idx)
+				if idx := e.open[g.Q1]; idx >= 0 && e.pairMatches(idx, a, b) {
+					e.fixRoot(g.Q1)
+					e.closeBlocksTouching(g.Q0)
 					e.demands[idx].Gates++
 					continue
 				}
@@ -172,8 +227,8 @@ func (e *extractor) run() ([]epr.Demand, error) {
 		}
 		// The gate needs a new communication. Close stale blocks on both
 		// operands first.
-		e.closeBlocksTouching(g.Q0, -1)
-		e.closeBlocksTouching(g.Q1, -1)
+		e.closeBlocksTouching(g.Q0)
+		e.closeBlocksTouching(g.Q1)
 
 		if !e.opts.DisableTP {
 			if moved := e.tryMigrate(int32(i), g); moved {
@@ -182,66 +237,57 @@ func (e *extractor) run() ([]epr.Demand, error) {
 		}
 		// Open a Cat block controlled by g.Q0 (the control for CX;
 		// either operand works for the symmetric CZ/CP kinds).
-		id := len(e.demands)
-		e.demands = append(e.demands, epr.Demand{
-			ID: id, A: a, B: b, Protocol: epr.Cat,
+		id := e.emit(epr.Demand{
+			A: a, B: b, Protocol: epr.Cat,
 			CrossRack: e.arch.RackOf(a) != e.arch.RackOf(b),
 			Gates:     1,
 		})
 		if !e.opts.DisableCatAggregation {
-			e.open[g.Q0] = id
-			e.openPair[id] = [2]int{a, b}
-			e.openKeys[id] = append(e.openKeys[id], g.Q0)
+			// Both operands were just closed, so neither has a mate.
+			e.open[g.Q0] = int32(id)
 			if symmetric(g.Kind) {
 				// Either operand of a symmetric gate may turn out to be
 				// the repeating control; keep both candidates until an
 				// absorption decides.
-				e.open[g.Q1] = id
-				e.openKeys[id] = append(e.openKeys[id], g.Q1)
+				e.open[g.Q1] = int32(id)
+				e.mate[g.Q0], e.mate[g.Q1] = g.Q1, g.Q0
 			}
 		}
 	}
 	return e.demands, nil
 }
 
-// pairMatches reports whether open demand idx connects QPUs a and b.
-func (e *extractor) pairMatches(idx int, a, b int) bool {
-	pr := e.openPair[idx]
-	return (pr[0] == a && pr[1] == b) || (pr[0] == b && pr[1] == a)
+// pairMatches reports whether open block idx connects QPUs a and b.
+func (e *extractor) pairMatches(idx int32, a, b int) bool {
+	d := &e.demands[idx]
+	return (d.A == a && d.B == b) || (d.A == b && d.B == a)
 }
 
 // closeBlocksTouching removes qubit q as a candidate root of its open
-// Cat block, unless that block is the one being absorbed into (keep).
-// When the block has another candidate root it survives under that
-// root; otherwise it is closed.
-func (e *extractor) closeBlocksTouching(q int32, keep int) {
-	idx, ok := e.open[q]
-	if !ok || idx == keep {
+// Cat block. When the block has another candidate root it survives
+// under that root; otherwise it is closed. (After an absorption fixes a
+// block's root, the gate's other operand is no longer a candidate of
+// that block, so closing it never touches the block absorbed into.)
+func (e *extractor) closeBlocksTouching(q int32) {
+	if uint(q) >= uint(len(e.open)) {
+		return // no block is ever opened on a qubit outside the placement
+	}
+	if e.open[q] < 0 {
 		return
 	}
-	delete(e.open, q)
-	keys := e.openKeys[idx][:0]
-	for _, k := range e.openKeys[idx] {
-		if k != q {
-			keys = append(keys, k)
-		}
+	e.open[q] = -1
+	if m := e.mate[q]; m >= 0 {
+		e.mate[q], e.mate[m] = -1, -1 // the block survives under m alone
 	}
-	if len(keys) == 0 {
-		delete(e.openKeys, idx)
-		delete(e.openPair, idx)
-		return
-	}
-	e.openKeys[idx] = keys
 }
 
-// fixRoot commits block idx to root q, dropping any other candidate.
-func (e *extractor) fixRoot(idx int, q int32) {
-	for _, k := range e.openKeys[idx] {
-		if k != q {
-			delete(e.open, k)
-		}
+// fixRoot commits the block q is a candidate root of to root q,
+// dropping the other candidate, if any.
+func (e *extractor) fixRoot(q int32) {
+	if m := e.mate[q]; m >= 0 {
+		e.open[m] = -1
+		e.mate[q], e.mate[m] = -1, -1
 	}
-	e.openKeys[idx] = append(e.openKeys[idx][:0], q)
 }
 
 // symmetric reports whether the gate kind is control-symmetric, so a
@@ -267,14 +313,13 @@ func (e *extractor) tryMigrate(gi int32, g circuit.Gate) bool {
 		return false
 	}
 	src := e.cur[q]
-	id := len(e.demands)
-	e.demands = append(e.demands, epr.Demand{
-		ID: id, A: src, B: dst, Protocol: epr.TP,
+	e.emit(epr.Demand{
+		A: src, B: dst, Protocol: epr.TP,
 		CrossRack: e.arch.RackOf(src) != e.arch.RackOf(dst),
 		Gates:     1,
 	})
 	// Any cat block rooted at the migrating qubit is now stale.
-	e.closeBlocksTouching(q, -1)
+	e.closeBlocksTouching(q)
 	if e.home[q] == dst {
 		// Returning home frees a migrant slot at the current host.
 		if e.migrants[src] > 0 {
@@ -290,22 +335,19 @@ func (e *extractor) tryMigrate(gi int32, g circuit.Gate) bool {
 // migrationScore counts, within the TP window of upcoming two-qubit
 // gates touching q, how many would become local if q moved to dst,
 // minus how many would become remote (they are local at q's current
-// QPU). The walk stops early if q's partner pattern changes rack.
+// QPU).
 func (e *extractor) migrationScore(gi int32, q int32, dst int) int {
 	cur := e.cur[q]
 	score := 0
-	idx := gi
-	for steps := 0; steps < e.opts.TPWindow && idx >= 0; steps++ {
+	window := e.twoQ.from(q, gi)
+	if len(window) > e.opts.TPWindow {
+		window = window[:e.opts.TPWindow]
+	}
+	for _, idx := range window {
 		g := e.circ.Gates[idx]
-		var partner int32
-		var next int32
-		switch {
-		case g.Q0 == q:
-			partner, next = g.Q1, e.nextTwoQ[2*idx]
-		case g.Q1 == q:
-			partner, next = g.Q0, e.nextTwoQ[2*idx+1]
-		default:
-			return score // chain broken
+		partner := g.Q0
+		if g.Q0 == q {
+			partner = g.Q1
 		}
 		switch e.cur[partner] {
 		case dst:
@@ -313,7 +355,6 @@ func (e *extractor) migrationScore(gi int32, q int32, dst int) int {
 		case cur:
 			score--
 		}
-		idx = next
 	}
 	return score
 }

@@ -286,22 +286,48 @@ func TestDualRootClosedWhenBothCandidatesBreak(t *testing.T) {
 	}
 }
 
-func TestFixedRootStopsAbsorbingViaOtherOperand(t *testing.T) {
+func TestBrokenCandidateLeavesNoLinkToItsBlock(t *testing.T) {
 	arch := arch2x2(t)
-	c := circuit.New("fixed", 16)
-	// First absorption roots the block at 0; a later gate sharing only
-	// the abandoned candidate 4 must open a new block.
+	c := circuit.New("relink", 16)
 	c.Append(
-		circuit.TwoP(circuit.CP, 4, 0, 1),
-		circuit.TwoP(circuit.CP, 5, 0, 1), // roots at 0
-		circuit.TwoP(circuit.CP, 4, 1, 1), // shares only abandoned 4: new block
+		circuit.TwoP(circuit.CP, 0, 4, 1), // block A on QPUs 0-1, candidates 0 and 4
+		circuit.Single(circuit.H, 4),      // A survives under 0 alone
+		circuit.TwoP(circuit.CP, 4, 8, 1), // block B on QPUs 1-2, candidates 4 and 8
+		circuit.Two(circuit.CX, 0, 5),     // absorbed into A: must not touch B
+		circuit.Two(circuit.CX, 4, 9),     // absorbed into B under root 4
 	)
 	ds := extract(t, c, arch, Options{DisableTP: true})
-	if len(ds) != 2 {
-		t.Fatalf("demands = %v, want 2", ds)
+	if len(ds) != 2 || ds[0].Gates != 2 || ds[1].Gates != 2 {
+		t.Fatalf("demands = %v, want two blocks of 2 gates", ds)
 	}
-	if ds[0].Gates != 2 || ds[1].Gates != 1 {
-		t.Fatalf("gate counts = %d/%d, want 2/1", ds[0].Gates, ds[1].Gates)
+}
+
+func TestFixedRootStopsAbsorbingViaOtherOperand(t *testing.T) {
+	arch := arch2x2(t)
+	// First absorption roots the block at 0; a later gate sharing only
+	// the abandoned candidate 4 must open a new block. The candidates
+	// sit on either operand, so the root is fixed through the gate's
+	// second operand in one order and its first in the other.
+	for _, swap := range []bool{false, true} {
+		cp := func(a, b int) circuit.Gate {
+			if swap {
+				a, b = b, a
+			}
+			return circuit.TwoP(circuit.CP, a, b, 1)
+		}
+		c := circuit.New("fixed", 16)
+		c.Append(
+			cp(4, 0),
+			cp(5, 0), // roots at 0
+			cp(4, 1), // shares only abandoned 4: new block
+		)
+		ds := extract(t, c, arch, Options{DisableTP: true})
+		if len(ds) != 2 {
+			t.Fatalf("swap=%v: demands = %v, want 2", swap, ds)
+		}
+		if ds[0].Gates != 2 || ds[1].Gates != 1 {
+			t.Fatalf("swap=%v: gate counts = %d/%d, want 2/1", swap, ds[0].Gates, ds[1].Gates)
+		}
 	}
 }
 
@@ -353,6 +379,32 @@ func TestExtractPropertyRandomCircuits(t *testing.T) {
 		}
 		if _, err := epr.BuildDAG(ds); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestBaselineDemandsSizedExactly checks that the baseline extraction
+// (no TP, no aggregation) allocates its demand list at its final size.
+func TestBaselineDemandsSizedExactly(t *testing.T) {
+	arch, err := topology.NewArch("clos", 4, 2, 20, 6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"mct", "qft", "grover", "rca", "ghz", "bv"} {
+		c, err := circuit.Benchmark(bench, arch.TotalQubits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := place.Blocks(c.NumQubits, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := Extract(c, p, arch, BaselineOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) == 0 || len(ds) != cap(ds) {
+			t.Errorf("%s: baseline demands len %d, cap %d", bench, len(ds), cap(ds))
 		}
 	}
 }

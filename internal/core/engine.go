@@ -408,6 +408,16 @@ func (e *engine) init() {
 	e.st = st
 	e.winDepth = make([]int32, n)
 	e.winStamp = make([]uint32, n)
+	if n > 0 && e.gens == nil {
+		// Every demand takes one generation; splits (and the
+		// distillation of split pairs) add more, and room for half again
+		// as many spares the log most of its regrowth.
+		c := n
+		if e.opts.Split {
+			c += n / 2
+		}
+		e.gens = make([]GenEvent, 0, c)
+	}
 	e.checkpoint0 = e.snapshot(nil)
 	e.checkpoint = e.checkpoint0
 }

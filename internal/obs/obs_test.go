@@ -70,14 +70,24 @@ func TestWritePromParses(t *testing.T) {
 }
 
 // validateExposition is a minimal checker for the text exposition
-// format (version 0.0.4), shared with the CLI golden tests.
+// format (version 0.0.4), shared with the CLI golden tests. Histogram
+// buckets must be cumulative within each series (a family plus its
+// non-le labels), and each series' +Inf bucket must equal its _count.
 func validateExposition(t *testing.T, text string) {
 	t.Helper()
+	if err := checkExposition(text); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkExposition is validateExposition's error-returning core.
+func checkExposition(text string) error {
 	typed := map[string]string{}
 	lastBucket := map[string]int64{}
+	infBucket := map[string]int64{}
 	for ln, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if line == "" {
-			t.Fatalf("line %d: empty line", ln+1)
+			return fmt.Errorf("line %d: empty line", ln+1)
 		}
 		if strings.HasPrefix(line, "# HELP ") {
 			continue
@@ -85,34 +95,35 @@ func validateExposition(t *testing.T, text string) {
 		if strings.HasPrefix(line, "# TYPE ") {
 			f := strings.Fields(line)
 			if len(f) != 4 {
-				t.Fatalf("line %d: malformed TYPE: %q", ln+1, line)
+				return fmt.Errorf("line %d: malformed TYPE: %q", ln+1, line)
 			}
 			switch f[3] {
 			case "counter", "gauge", "histogram":
 			default:
-				t.Fatalf("line %d: unknown type %q", ln+1, f[3])
+				return fmt.Errorf("line %d: unknown type %q", ln+1, f[3])
 			}
 			typed[f[2]] = f[3]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: unknown comment %q", ln+1, line)
+			return fmt.Errorf("line %d: unknown comment %q", ln+1, line)
 		}
 		name := line
 		rest := ""
 		if i := strings.IndexAny(line, "{ "); i >= 0 {
 			name, rest = line[:i], line[i:]
 		}
+		var labels []string
 		if rest != "" && rest[0] == '{' {
-			end := strings.Index(rest, "} ")
-			if end < 0 {
-				t.Fatalf("line %d: unterminated label set: %q", ln+1, line)
+			var ok bool
+			labels, rest, ok = splitLabels(rest)
+			if !ok {
+				return fmt.Errorf("line %d: malformed label set: %q", ln+1, line)
 			}
-			rest = rest[end+1:]
 		}
 		value := strings.TrimSpace(rest)
 		if value == "" {
-			t.Fatalf("line %d: missing value: %q", ln+1, line)
+			return fmt.Errorf("line %d: missing value: %q", ln+1, line)
 		}
 		base := name
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
@@ -123,20 +134,125 @@ func validateExposition(t *testing.T, text string) {
 			}
 		}
 		if _, ok := typed[base]; !ok {
-			t.Fatalf("line %d: sample %q before its TYPE", ln+1, name)
+			return fmt.Errorf("line %d: sample %q before its TYPE", ln+1, name)
 		}
-		if base != name && strings.HasSuffix(name, "_bucket") {
-			var v int64
-			for _, c := range value {
-				if c < '0' || c > '9' {
-					t.Fatalf("line %d: non-integer bucket count %q", ln+1, value)
-				}
-				v = v*10 + int64(c-'0')
+		if base == name {
+			continue
+		}
+		le, others := "", make([]string, 0, len(labels))
+		for _, l := range labels {
+			if strings.HasPrefix(l, `le="`) {
+				le = strings.TrimSuffix(strings.TrimPrefix(l, `le="`), `"`)
+				continue
 			}
-			if v < lastBucket[base] {
-				t.Fatalf("line %d: bucket counts not cumulative (%d < %d)", ln+1, v, lastBucket[base])
+			others = append(others, l)
+		}
+		key := base + "{" + strings.Join(others, ",") + "}"
+		switch {
+		case strings.HasSuffix(name, "_bucket"):
+			if le == "" {
+				return fmt.Errorf("line %d: bucket without le label: %q", ln+1, line)
 			}
-			lastBucket[base] = v
+			v, err := parseCount(ln, value)
+			if err != nil {
+				return err
+			}
+			if v < lastBucket[key] {
+				return fmt.Errorf("line %d: bucket counts not cumulative in %s (%d < %d)", ln+1, key, v, lastBucket[key])
+			}
+			lastBucket[key] = v
+			if le == "+Inf" {
+				infBucket[key] = v
+			}
+		case strings.HasSuffix(name, "_count"):
+			inf, ok := infBucket[key]
+			if !ok {
+				return fmt.Errorf("line %d: %s_count before its +Inf bucket", ln+1, key)
+			}
+			v, err := parseCount(ln, value)
+			if err != nil {
+				return err
+			}
+			if v != inf {
+				return fmt.Errorf("line %d: %s_count = %d, +Inf bucket = %d", ln+1, key, v, inf)
+			}
+			// A later series with the same labels starts afresh.
+			delete(lastBucket, key)
+			delete(infBucket, key)
+		}
+	}
+	return nil
+}
+
+// splitLabels splits a rendered label set `{k1="v1",k2="v2"} rest` into
+// its pairs (escapes kept verbatim) and the text after the closing
+// brace. ok is false when the set is malformed.
+func splitLabels(s string) (pairs []string, rest string, ok bool) {
+	i := 1 // past '{'
+	for i < len(s) && s[i] != '}' {
+		start := i
+		eq := strings.Index(s[i:], `="`)
+		if eq <= 0 {
+			return nil, "", false
+		}
+		i += eq + 2
+		for i < len(s) && s[i] != '"' {
+			if s[i] == '\\' {
+				i++
+			}
+			i++
+		}
+		if i >= len(s) {
+			return nil, "", false
+		}
+		i++ // closing quote
+		pairs = append(pairs, s[start:i])
+		if i < len(s) && s[i] == ',' {
+			i++
+		}
+	}
+	if i >= len(s) {
+		return nil, "", false
+	}
+	return pairs, s[i+1:], true
+}
+
+// parseCount parses a non-negative integer sample value.
+func parseCount(ln int, value string) (int64, error) {
+	var v int64
+	for _, c := range value {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("line %d: non-integer count %q", ln+1, value)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, nil
+}
+
+// TestCheckExpositionRejects pins what the validator catches: buckets
+// that shrink within one series, a +Inf bucket that disagrees with
+// _count, and _count without a +Inf bucket. Buckets of two series of
+// one family are checked separately, so a series may start below the
+// previous series' +Inf.
+func TestCheckExpositionRejects(t *testing.T) {
+	const head = "# TYPE h histogram\n"
+	good := head +
+		`h_bucket{k="a",le="1"} 5` + "\n" + `h_bucket{k="a",le="+Inf"} 9` + "\n" +
+		`h_sum{k="a"} 3` + "\n" + `h_count{k="a"} 9` + "\n" +
+		`h_bucket{k="b",le="1"} 1` + "\n" + `h_bucket{k="b",le="+Inf"} 2` + "\n" +
+		`h_sum{k="b"} 1` + "\n" + `h_count{k="b"} 2` + "\n"
+	if err := checkExposition(good); err != nil {
+		t.Fatalf("valid two-series histogram rejected: %v", err)
+	}
+	bad := map[string]string{
+		"not cumulative": head + `h_bucket{le="1"} 5` + "\n" + `h_bucket{le="+Inf"} 4` + "\n" + `h_count 4` + "\n",
+		"inf != count":   head + `h_bucket{le="1"} 5` + "\n" + `h_bucket{le="+Inf"} 6` + "\n" + `h_count 7` + "\n",
+		"no inf bucket":  head + `h_bucket{le="1"} 5` + "\n" + `h_count 5` + "\n",
+		"bad label set":  head + `h_bucket{le="1} 5` + "\n",
+	}
+	for name, text := range bad {
+		if err := checkExposition(text); err == nil {
+			t.Errorf("%s: accepted\n%s", name, text)
 		}
 	}
 }
@@ -251,6 +367,21 @@ func TestSpanParentEndsFirst(t *testing.T) {
 	}
 	if counts["phase"] != 2 || counts["phase/late"] != 1 {
 		t.Errorf("unexpected snapshot: %v", snap)
+	}
+}
+
+// TestSpanEndsOutOfStartOrder pins the merge rule when an earlier-
+// started span ends after a later-started same-name sibling: the two
+// must still merge into one node, whichever ended first.
+func TestSpanEndsOutOfStartOrder(t *testing.T) {
+	tr := NewTracer()
+	first := tr.StartSpan("work")
+	second := tr.StartSpan("work")
+	second.End()
+	first.End()
+	snap := tr.Snapshot()
+	if len(snap) != 1 || snap[0].Path != "work" || snap[0].Count != 2 {
+		t.Errorf("snapshot = %v, want one merged work node with count 2", snap)
 	}
 }
 

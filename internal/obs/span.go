@@ -103,12 +103,14 @@ func (s *Span) End() {
 }
 
 // mergeEnded folds child (which must be ended and present in
-// p.children) into an earlier ended sibling with the same name, if any.
+// p.children) into another ended sibling with the same name, if any.
+// The sibling may sit before or after child: an earlier-started span
+// can end after a later-started one, and must still merge into it.
 // Callers hold the tracer mutex.
 func (p *Span) mergeEnded(child *Span) {
 	for _, sib := range p.children {
 		if sib == child {
-			return // child is the first ended span of its name
+			continue
 		}
 		if sib.ended && sib.name == child.name {
 			sib.absorb(child)

@@ -5,10 +5,12 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"switchqnet/internal/core"
@@ -55,7 +57,9 @@ type GenJSON struct {
 	InRack   bool   `json:"in_rack"`
 }
 
-// Export converts a Result to its JSON shape.
+// Export converts a Result to its JSON shape: the Schedule ReadJSON
+// decodes, and the value whose encoding/json encoding WriteJSON
+// reproduces.
 func Export(r *core.Result) Schedule {
 	s := Schedule{
 		MakespanUS: int64(r.Makespan),
@@ -80,11 +84,198 @@ func Export(r *core.Result) Schedule {
 	return s
 }
 
-// WriteJSON writes the schedule as indented JSON.
+// WriteJSON writes the schedule as indented JSON: byte for byte what
+// encoding/json with a two-space indent writes for Export(r), encoded
+// directly from r without the intermediate Schedule.
+//
+// The whole document goes to w in a single Write. A caller that
+// collects it in a bytes.Buffer (as the daemon does for every retained
+// job result) then holds one allocation sized to the document; writing
+// in chunks would grow that buffer by doubling and leave up to half of
+// it unused. The document's exact length is computed first, and a
+// *bytes.Buffer is encoded into in place, so the document is allocated
+// once, at its size.
 func WriteJSON(w io.Writer, r *core.Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Export(r))
+	n := jsonLen(r)
+	var b []byte
+	if bb, ok := w.(*bytes.Buffer); ok {
+		bb.Grow(n)
+		b = bb.AvailableBuffer()
+	} else {
+		b = make([]byte, 0, n)
+	}
+	_, err := w.Write(appendJSON(b, r))
+	return err
+}
+
+// Literal text around each field of the encoding, shared by appendJSON
+// and jsonLen.
+const (
+	jsonDemandOpen = "\n    {\n      \"id\": "
+	jsonGenOpen    = "\n    {\n      \"demand\": "
+	jsonRecClose   = "\n    }"
+	jsonListClose  = "\n  ]"
+)
+
+// jsonLen returns the length of r's encoding: the fixed text of the
+// document and of each record plus the width of every value.
+func jsonLen(r *core.Result) int {
+	n := len("{\n  \"makespan_us\": ") + intLen(int64(r.Makespan)) +
+		len(",\n  \"reconfigs\": ") + intLen(int64(r.Reconfigs)) +
+		len(",\n  \"splits\": ") + intLen(int64(r.Splits)) +
+		len(",\n  \"demands\": ") + len(",\n  \"generations\": ") + len("\n}\n")
+	if len(r.Demands) == 0 {
+		n += len("null")
+	} else {
+		n += len("[") + len(jsonListClose) + len(r.Demands) - 1 // the separating commas
+		for i, d := range r.Demands {
+			n += len(jsonDemandOpen) + intLen(int64(d.ID)) +
+				len(",\n      \"a\": ") + intLen(int64(d.A)) +
+				len(",\n      \"b\": ") + intLen(int64(d.B)) +
+				len(",\n      \"protocol\": ") + stringLen(d.Protocol.String()) +
+				len(",\n      \"cross_rack\": ") + boolLen(d.CrossRack) +
+				len(",\n      \"ready_us\": ") + intLen(int64(r.ReadyAt[i])) +
+				len(",\n      \"consumed_us\": ") + intLen(int64(r.ConsumedAt[i])) +
+				len(jsonRecClose)
+		}
+	}
+	if len(r.Gens) == 0 {
+		n += len("null")
+	} else {
+		n += len("[") + len(jsonListClose) + len(r.Gens) - 1
+		for _, g := range r.Gens {
+			n += len(jsonGenOpen) + intLen(int64(g.Demand)) +
+				len(",\n      \"kind\": ") + stringLen(g.Kind.String()) +
+				len(",\n      \"a\": ") + intLen(int64(g.A)) +
+				len(",\n      \"b\": ") + intLen(int64(g.B)) +
+				len(",\n      \"start_us\": ") + intLen(int64(g.Start)) +
+				len(",\n      \"end_us\": ") + intLen(int64(g.End)) +
+				len(",\n      \"channel\": ") + intLen(int64(g.Channel)) +
+				len(",\n      \"reconfig\": ") + boolLen(g.Reconfig) +
+				len(",\n      \"in_rack\": ") + boolLen(g.InRack) +
+				len(jsonRecClose)
+		}
+	}
+	return n
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+func boolLen(v bool) int {
+	if v {
+		return len("true")
+	}
+	return len("false")
+}
+
+// stringLen is the length of s as a JSON string literal.
+func stringLen(s string) int {
+	if jsonPlain(s) {
+		return len(s) + 2
+	}
+	return len(appendJSONString(nil, s))
+}
+
+// appendJSON appends r's encoding to b.
+func appendJSON(b []byte, r *core.Result) []byte {
+	b = append(b, "{\n  \"makespan_us\": "...)
+	b = strconv.AppendInt(b, int64(r.Makespan), 10)
+	b = append(b, ",\n  \"reconfigs\": "...)
+	b = strconv.AppendInt(b, int64(r.Reconfigs), 10)
+	b = append(b, ",\n  \"splits\": "...)
+	b = strconv.AppendInt(b, int64(r.Splits), 10)
+	b = append(b, ",\n  \"demands\": "...)
+	if len(r.Demands) == 0 {
+		b = append(b, "null"...) // Export leaves the list nil
+	} else {
+		b = append(b, '[')
+		for i, d := range r.Demands {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, jsonDemandOpen...)
+			b = strconv.AppendInt(b, int64(d.ID), 10)
+			b = append(b, ",\n      \"a\": "...)
+			b = strconv.AppendInt(b, int64(d.A), 10)
+			b = append(b, ",\n      \"b\": "...)
+			b = strconv.AppendInt(b, int64(d.B), 10)
+			b = append(b, ",\n      \"protocol\": "...)
+			b = appendJSONString(b, d.Protocol.String())
+			b = append(b, ",\n      \"cross_rack\": "...)
+			b = strconv.AppendBool(b, d.CrossRack)
+			b = append(b, ",\n      \"ready_us\": "...)
+			b = strconv.AppendInt(b, int64(r.ReadyAt[i]), 10)
+			b = append(b, ",\n      \"consumed_us\": "...)
+			b = strconv.AppendInt(b, int64(r.ConsumedAt[i]), 10)
+			b = append(b, jsonRecClose...)
+		}
+		b = append(b, jsonListClose...)
+	}
+	b = append(b, ",\n  \"generations\": "...)
+	if len(r.Gens) == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, g := range r.Gens {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, jsonGenOpen...)
+			b = strconv.AppendInt(b, int64(g.Demand), 10)
+			b = append(b, ",\n      \"kind\": "...)
+			b = appendJSONString(b, g.Kind.String())
+			b = append(b, ",\n      \"a\": "...)
+			b = strconv.AppendInt(b, int64(g.A), 10)
+			b = append(b, ",\n      \"b\": "...)
+			b = strconv.AppendInt(b, int64(g.B), 10)
+			b = append(b, ",\n      \"start_us\": "...)
+			b = strconv.AppendInt(b, int64(g.Start), 10)
+			b = append(b, ",\n      \"end_us\": "...)
+			b = strconv.AppendInt(b, int64(g.End), 10)
+			b = append(b, ",\n      \"channel\": "...)
+			b = strconv.AppendInt(b, int64(g.Channel), 10)
+			b = append(b, ",\n      \"reconfig\": "...)
+			b = strconv.AppendBool(b, g.Reconfig)
+			b = append(b, ",\n      \"in_rack\": "...)
+			b = strconv.AppendBool(b, g.InRack)
+			b = append(b, jsonRecClose...)
+		}
+		b = append(b, jsonListClose...)
+	}
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONString appends s as a JSON string literal, escaped exactly
+// as encoding/json escapes it. The schedule's names are plain ASCII and
+// take the fast path.
+func appendJSONString(b []byte, s string) []byte {
+	if !jsonPlain(s) {
+		q, _ := json.Marshal(s) // marshaling a string cannot fail
+		return append(b, q...)
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// jsonPlain reports whether encoding/json writes s between quotes as is.
+func jsonPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadJSON decodes a schedule previously written by WriteJSON.

@@ -2,12 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"switchqnet/internal/circuit"
+	"switchqnet/internal/comm"
 	"switchqnet/internal/core"
 	"switchqnet/internal/epr"
 	"switchqnet/internal/hw"
+	"switchqnet/internal/place"
 	"switchqnet/internal/topology"
 )
 
@@ -120,5 +126,140 @@ func TestUtilization(t *testing.T) {
 	}
 	if u[2] == 0 {
 		t.Error("bottleneck has zero utilization")
+	}
+}
+
+// referenceJSON is the encoding WriteJSON must reproduce: encoding/json
+// with a two-space indent over Export(r).
+func referenceJSON(t *testing.T, r *core.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(Export(r)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// countingWriter records how WriteJSON hands over its output.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func checkWriteJSON(t *testing.T, name string, r *core.Result) {
+	t.Helper()
+	var w countingWriter
+	if err := WriteJSON(&w, r); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if w.writes != 1 {
+		t.Errorf("%s: %d writes, want the whole document in one", name, w.writes)
+	}
+	got, want := w.Bytes(), referenceJSON(t, r)
+	if n := jsonLen(r); n != len(want) {
+		t.Errorf("%s: jsonLen = %d, the document has %d bytes", name, n, len(want))
+	}
+	// A *bytes.Buffer is encoded into in place, after what it holds.
+	var buf bytes.Buffer
+	buf.WriteString("prefix")
+	if err := WriteJSON(&buf, r); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(buf.Bytes(), append([]byte("prefix"), want...)) {
+		t.Errorf("%s: WriteJSON into a bytes.Buffer differs from encoding/json", name)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(i-80, 0)
+	t.Errorf("%s: WriteJSON differs from encoding/json at byte %d\ngot:  %q\nwant: %q",
+		name, i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+}
+
+// TestWriteJSONMatchesEncodingJSON pins the direct encoder byte for byte
+// to encoding/json over compiled schedules of seeded random demand
+// lists (SwitchQNet and baseline options), the paper benchmarks, an
+// empty result (both lists null) and out-of-range enum values.
+func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 60; i++ {
+		racks := 2 + 2*rng.Intn(2)
+		arch, err := topology.NewArch([]string{"clos", "spine-leaf", "fat-tree"}[i%3], racks, 2, 30, 10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := make([]epr.Demand, rng.Intn(40))
+		for j := range ds {
+			a := rng.Intn(arch.NumQPUs())
+			b := (a + 1 + rng.Intn(arch.NumQPUs()-1)) % arch.NumQPUs()
+			ds[j] = epr.Demand{
+				ID: j, A: a, B: b, Protocol: epr.Protocol(rng.Intn(2)),
+				CrossRack: arch.RackOf(a) != arch.RackOf(b), Gates: 1,
+			}
+		}
+		for _, opts := range []core.Options{core.DefaultOptions(), core.BaselineOptions()} {
+			r, err := core.Compile(ds, arch, hw.Default(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWriteJSON(t, fmt.Sprintf("random %d", i), r)
+		}
+	}
+
+	arch, err := topology.NewArch("clos", 4, 2, 12, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"mct", "qft", "grover", "rca"} {
+		c, err := circuit.Benchmark(bench, arch.TotalQubits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := place.Blocks(c.NumQubits, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := comm.Extract(c, p, arch, comm.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.Compile(ds, arch, hw.Default(), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWriteJSON(t, bench, r)
+	}
+
+	checkWriteJSON(t, "empty", &core.Result{})
+	checkWriteJSON(t, "out-of-range enums", &core.Result{
+		Demands:    []epr.Demand{{ID: 0, A: 1, B: 2, Protocol: epr.Protocol(7)}},
+		ReadyAt:    []hw.Time{-3},
+		ConsumedAt: []hw.Time{1 << 40},
+		Gens:       []core.GenEvent{{Demand: 0, Kind: core.GenKind(200), A: 1, B: 2, Channel: -1}},
+		Makespan:   -1,
+	})
+}
+
+// TestAppendJSONString pins the string escaping against encoding/json,
+// including the cases it escapes beyond quotes and backslashes: control
+// characters, HTML-sensitive bytes, U+2028/U+2029 and invalid UTF-8.
+func TestAppendJSONString(t *testing.T) {
+	for _, s := range []string{"", "cat", "split-in-rack", "GenKind(9)", `a"b`, `a\b`,
+		"<&>", "a<b", "a>b", "a&b", "tab\there", "nl\n", "\x00", "é", "  ", "\xff\xfe", "\x7f"} {
+		want, _ := json.Marshal(s)
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
 	}
 }
